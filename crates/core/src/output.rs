@@ -178,6 +178,11 @@ impl<M: Clone> OutputBuffer<M> {
         self.committed.iter().map(|(_, v)| v)
     }
 
+    /// `true` once the output `id` has been committed.
+    pub fn is_committed(&self, id: &OutputId) -> bool {
+        self.committed_ids.contains(id)
+    }
+
     /// Number of committed outputs.
     pub fn committed_len(&self) -> usize {
         self.committed.len()

@@ -132,6 +132,10 @@ pub struct ProcessStats {
     /// Largest retransmission backoff reached (microseconds); bounded by
     /// [`crate::DgConfig::token_backoff_cap`].
     pub max_token_backoff: u64,
+    /// Eager frontier pushes sent: one `Frontier` message per peer that
+    /// received an `App` message since the previous push, sent by the
+    /// flush that made those sends stable (output commit only).
+    pub frontier_pushes: u64,
     /// Outputs the application produced.
     pub outputs_emitted: u64,
     /// Outputs committed to the environment (provably stable).

@@ -513,6 +513,20 @@ impl Ftvc {
         self.tick_own();
     }
 
+    /// Raise the own timestamp above `ts`; a no-op when it already is.
+    /// The version is unchanged. A process that rolled back uses it to
+    /// skip past timestamps of its discarded states, so that no new
+    /// state reuses a `(version, ts)` label it may already have
+    /// announced as stable.
+    pub fn advance_own_past(&mut self, ts: u64) {
+        let own = self.owner.index();
+        let mut e = self.entries.as_slice()[own];
+        if e.ts <= ts {
+            e.ts = ts + 1;
+            self.set_entry(own, e);
+        }
+    }
+
     /// Compare two clocks under the vector partial order
     /// `c1 < c2 iff (forall i: c1[i] <= c2[i]) and (exists j: c1[j] < c2[j])`.
     ///

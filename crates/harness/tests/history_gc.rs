@@ -57,9 +57,13 @@ impl Application for Ring {
 }
 
 fn run(history_gc: bool) -> DgRunOutcome<Ring> {
+    run_with_gossip(history_gc, 8_000, 11)
+}
+
+fn run_with_gossip(history_gc: bool, gossip: u64, seed: u64) -> DgRunOutcome<Ring> {
     let config = DgConfig::fast_test()
         .with_retransmit(true)
-        .with_gossip(8_000)
+        .with_gossip(gossip)
         .with_gc(true)
         .with_history_gc(history_gc)
         .with_reliable_tokens(true);
@@ -76,7 +80,7 @@ fn run(history_gc: bool) -> DgRunOutcome<Ring> {
             digest: 0xcbf2_9ce4_8422_2325,
         },
         config,
-        NetConfig::with_seed(11),
+        NetConfig::with_seed(seed),
         &plan,
     );
     assert!(
@@ -167,6 +171,43 @@ fn history_gc_is_transparent_and_bounds_the_tables() {
                 a.history().total_records() <= N * (N + 4),
                 "{}: history table exceeds the O(n·f) ceiling",
                 EngineView::id(a)
+            );
+        }
+    }
+}
+
+/// GC must stay transparent when it runs soon after a restart. With
+/// 2 ms gossip the first GC pass follows the restart flush while orphan
+/// messages that peers sent before they saw the token are still in
+/// flight; a process that reclaimed its own dead-version token record
+/// could no longer discard them as obsolete, and the ring forked (up to
+/// 8x the deliveries, outputs committed several times over).
+#[test]
+fn history_gc_is_transparent_with_fast_gossip() {
+    for seed in [1, 6, 11] {
+        let without = run_with_gossip(false, 2_000, seed);
+        let with = run_with_gossip(true, 2_000, seed);
+        let reclaimed: u64 = with
+            .sim
+            .actors()
+            .iter()
+            .map(|a| EngineView::stats(a).gc_history_records)
+            .sum();
+        assert!(reclaimed > 0, "seed {seed}: history GC never reclaimed");
+        for (a, b) in without.sim.actors().iter().zip(with.sim.actors()) {
+            let p = EngineView::id(a);
+            assert_eq!(
+                a.app().digest(),
+                b.app().digest(),
+                "seed {seed}, {p}: app digest changed"
+            );
+            let expected: Vec<u64> = (1..=LIMIT)
+                .filter(|v| v % N as u64 == u64::from(p.0))
+                .collect();
+            let gced: Vec<u64> = b.committed_outputs().copied().collect();
+            assert_eq!(
+                gced, expected,
+                "seed {seed}, {p}: outputs lost or duplicated"
             );
         }
     }
