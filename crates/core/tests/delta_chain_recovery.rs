@@ -276,3 +276,99 @@ fn per_section_bytes_account_for_every_frame_byte() {
             < s.checkpoint_bytes_full / s.checkpoints_full
     );
 }
+
+/// `a` delivers a message that depends on a state `b` loses in a crash,
+/// then receives `b`'s restart token: `a` rolls back. Returns `a` and
+/// the effects of the rollback.
+fn rolled_back(config: DgConfig) -> (Engine<Counter>, Vec<Fx>) {
+    let p0 = ProcessId(0);
+    let p1 = ProcessId(1);
+    let mut a = Engine::new(p0, 2, Counter { sum: 0 }, config);
+    let mut b = Engine::new(p1, 2, Counter { sum: 0 }, config);
+    let mut now = 0;
+    a.handle(Input::Start { now });
+    b.handle(Input::Start { now });
+    // A send's stamp is the state before it, so the second send depends
+    // on b's state after the first, which no flush makes durable.
+    for payload in [1, 2] {
+        now += 100;
+        let wire = wire_to(
+            b.handle(Input::AppSend {
+                to: p0,
+                payload,
+                now,
+            }),
+            p0,
+        );
+        if payload == 2 {
+            a.handle(Input::Deliver {
+                from: p1,
+                wire,
+                now,
+            });
+        }
+    }
+    now += 100;
+    a.handle(Input::Tick {
+        kind: timers::CHECKPOINT,
+        now,
+    });
+    b.handle(Input::Crash);
+    now += 100;
+    let token = b
+        .handle(Input::Restart { now })
+        .into_iter()
+        .find_map(|e| match e {
+            Effect::Broadcast {
+                wire: w @ Wire::Token(_),
+            } => Some(w),
+            _ => None,
+        })
+        .expect("a restart announces itself with a token");
+    now += 100;
+    let effects = a.handle(Input::Deliver {
+        from: p1,
+        wire: token,
+        now,
+    });
+    assert_eq!(EngineView::stats(&a).rollbacks, 1);
+    (a, effects)
+}
+
+fn checkpoint_bytes(effects: &[Fx]) -> Vec<u64> {
+    effects
+        .iter()
+        .filter_map(|e| match e {
+            Effect::Checkpoint { bytes, .. } => Some(*bytes),
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn rollback_checkpoint_is_a_charged_full_frame() {
+    // With output commit a rollback pins its post-rollback state in a
+    // checkpoint. It is stored and charged like any other frame, so the
+    // frame counters still add up.
+    let (a, effects) = rolled_back(config().with_gossip(1_000_000));
+    let s = EngineView::stats(&a);
+    let frame = checkpoint_bytes(&effects);
+    assert_eq!(frame.len(), 1, "one frame per rollback");
+    assert!(frame[0] > 0);
+    assert_eq!(s.checkpoints_full, 2, "F0 and the rollback frame");
+    assert_eq!(s.checkpoints_delta, 1, "D1");
+    assert_eq!(
+        s.checkpoints_taken,
+        s.checkpoints_full + s.checkpoints_delta
+    );
+
+    // The base protocol takes no checkpoint on an ordinary rollback.
+    let (a, effects) = rolled_back(config());
+    assert!(checkpoint_bytes(&effects).is_empty());
+    let s = EngineView::stats(&a);
+    assert_eq!(s.checkpoints_taken, 2, "F0 D1");
+    assert_eq!(
+        s.checkpoints_taken,
+        s.checkpoints_full + s.checkpoints_delta
+    );
+}
